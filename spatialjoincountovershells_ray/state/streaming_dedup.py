@@ -23,7 +23,7 @@ per-block traffic is O(block keys) int64s, and memory per shard is the
 distinct-key count / nshards — the same footprint a shuffle dedup's
 reducers would hold, but persistent and queryable mid-stream.
 
-Failure semantics (round-5 hardening):
+Failure semantics:
 
 - ``check_and_add`` is side-effecting and NOT idempotent: a replayed
   call sees its own keys as already-admitted and drops every row. So
@@ -36,16 +36,28 @@ Failure semantics (round-5 hardening):
   atomically (tmp + os.replace, the sinks/checkpoint contract) every
   ``ckpt_every`` admission calls and restores it in ``__init__``; the
   ring creates shards with ``max_restarts=-1`` so Ray revives a killed
-  shard ON ITS CHECKPOINT instead of empty (the round-4 silent-loss
-  gap). A death strictly between an admission and its next checkpoint
-  surfaces as a RayActorError on the in-flight call (actor task
-  retries stay 0) — loud, never silently wrong; ``ckpt_every=1``
-  closes even that window at one fsync-less snapshot per call.
+  shard ON ITS CHECKPOINT instead of empty.
+- Calls made while a shard restarts WAIT for it: before routing a
+  block, the router asks every shard for its ``incarnation`` token, a
+  side-effect-free probe that Ray queues until a restarting actor is
+  alive again (``max_task_retries=-1``). Only then are the admissions
+  sent. Without ``ckpt_dir`` shards never restart and the probe is
+  skipped.
+- Only an admission IN FLIGHT at the death raises (``check_and_add``
+  keeps actor task retries at 0): a RayActorError, loud, never a
+  replay.
+- The token is drawn once per incarnation, so the router sees a
+  revived shard. With ``ckpt_every=1`` every completed admission is in
+  the checkpoint and the stream carries on exactly. With any other
+  ``ckpt_every`` the restored seen-set may miss admitted keys, so the
+  next call raises ``ShardRevivedError`` instead of readmitting their
+  duplicates.
 """
 
 from __future__ import annotations
 
 import os
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -72,6 +84,13 @@ class DedupShard:
         self._calls_since_ckpt = 0
         if self._ckpt_path and os.path.exists(self._ckpt_path):
             self._sorted = np.load(self._ckpt_path)  # restart-restore
+        self._incarnation = uuid.uuid4().hex
+
+    @ray.method(max_task_retries=-1)
+    def incarnation(self) -> str:
+        """Readiness probe: a token drawn once per (re)start. No side
+        effects, so Ray may queue and retry it across a restart."""
+        return self._incarnation
 
     def _consolidate(self) -> None:
         if self._recent:
@@ -132,45 +151,71 @@ class DedupShard:
         return int(len(self._sorted))
 
 
-def _make_ring(nshards: int, ckpt_dir: str | None, ckpt_every: int) -> list:
-    if ckpt_dir:
-        os.makedirs(ckpt_dir, exist_ok=True)
-    restarts = -1 if ckpt_dir else 0  # revive-on-checkpoint only when restorable
-    return [
-        DedupShard.options(max_restarts=restarts).remote(i, ckpt_dir, ckpt_every)
-        for i in range(nshards)
-    ]
+class ShardRevivedError(RuntimeError):
+    """A shard restarted with ``ckpt_every != 1``: its restored seen-set
+    may miss admitted keys, so the stream can no longer be exact."""
 
 
 class StreamingDeduper:
-    """Driver-side router over a DedupShard ring. Feed blocks in arrival
-    order with :meth:`filter_batch`; each returns the first-seen rows.
-    ``ckpt_dir`` enables the checkpoint/restore hardening."""
+    """Router over a DedupShard ring, shared by the driver-side API and
+    the map tasks of :func:`streaming_exact_dedup` (it holds only actor
+    handles and plain values, so tasks can carry it). Feed blocks in
+    arrival order with :meth:`filter_batch`; each returns the first-seen
+    rows. ``ckpt_dir`` enables the checkpoint/restore hardening."""
 
     def __init__(
         self, nshards: int = 8, ckpt_dir: str | None = None, ckpt_every: int = 0
     ):
-        self.nshards = nshards
-        self.shards = _make_ring(nshards, ckpt_dir, ckpt_every)
+        if ckpt_dir:
+            os.makedirs(ckpt_dir, exist_ok=True)
+        restarts = -1 if ckpt_dir else 0  # revive-on-checkpoint only when restorable
+        self.shards = [
+            DedupShard.options(max_restarts=restarts).remote(i, ckpt_dir, ckpt_every)
+            for i in range(nshards)
+        ]
+        self.ckpt_every = int(ckpt_every)
+        # None: shards never restart, so there is nothing to wait for
+        self.tokens = self._probe() if ckpt_dir else None
+
+    def _probe(self) -> list[str]:
+        return ray.get([s.incarnation.remote() for s in self.shards])
+
+    def wait_ready(self) -> None:
+        """Block until every shard is alive; raise if one was revived on
+        a checkpoint that may be stale."""
+        if self.tokens is None:
+            return
+        tokens = self._probe()
+        if self.ckpt_every != 1:
+            revived = [
+                i for i, (a, b) in enumerate(zip(self.tokens, tokens)) if a != b
+            ]
+            if revived:
+                raise ShardRevivedError(
+                    f"dedup shards {revived} restarted with ckpt_every="
+                    f"{self.ckpt_every}; their restored seen-sets may miss "
+                    "admitted keys (use ckpt_every=1 for exact restarts)"
+                )
 
     def filter_batch(self, batch: pa.Table, key: str) -> pa.Table:
+        self.wait_ready()
         keys = batch.column(key).to_numpy()
-        shard = keys % self.nshards
+        n = len(self.shards)
+        owner = keys % n
         masks = ray.get(
-            [
-                self.shards[s].check_and_add.remote(keys[shard == s])
-                for s in range(self.nshards)
-            ]
+            [self.shards[s].check_and_add.remote(keys[owner == s]) for s in range(n)]
         )
         keep = np.zeros(len(keys), bool)
-        for s in range(self.nshards):
-            keep[shard == s] = masks[s]
+        for s in range(n):
+            keep[owner == s] = masks[s]
         return batch.filter(pa.array(keep))
 
     def checkpoint(self) -> int:
+        self.wait_ready()
         return sum(ray.get([s.checkpoint_now.remote() for s in self.shards]))
 
     def n_seen(self) -> int:
+        self.wait_ready()
         return sum(ray.get([s.n_seen.remote() for s in self.shards]))
 
 
@@ -196,21 +241,10 @@ def streaming_exact_dedup(
     must fail loudly rather than silently drop its replayed block (see
     the module docstring). ``ckpt_dir``/``ckpt_every`` add the
     checkpoint-restore path for shard-actor death."""
-    shards = _make_ring(nshards, ckpt_dir, ckpt_every)
+    dd = StreamingDeduper(nshards, ckpt_dir, ckpt_every)
 
     def fn(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key).to_numpy()
-        shard = keys % nshards
-        masks = ray.get(
-            [
-                shards[s].check_and_add.remote(keys[shard == s])
-                for s in range(nshards)
-            ]
-        )
-        keep = np.zeros(len(keys), bool)
-        for s in range(nshards):
-            keep[shard == s] = masks[s]
-        return batch.filter(pa.array(keep))
+        return dd.filter_batch(batch, key)
 
     return ds.map_batches(
         fn,
