@@ -50,8 +50,9 @@ Failure semantics:
   revived shard. With ``ckpt_every=1`` every completed admission is in
   the checkpoint and the stream carries on exactly. With any other
   ``ckpt_every`` the restored seen-set may miss admitted keys, so the
-  next call raises ``ShardRevivedError`` instead of readmitting their
-  duplicates.
+  router raises ``ShardRevivedError`` instead of readmitting their
+  duplicates; it probes again after the admissions, so a shard revived
+  while a batch was routed fails that batch, before it is returned.
 """
 
 from __future__ import annotations
@@ -151,6 +152,16 @@ class DedupShard:
         return int(len(self._sorted))
 
 
+def _make_ring(nshards: int, ckpt_dir: str | None, ckpt_every: int) -> list:
+    if ckpt_dir:
+        os.makedirs(ckpt_dir, exist_ok=True)
+    restarts = -1 if ckpt_dir else 0  # revive-on-checkpoint only when restorable
+    return [
+        DedupShard.options(max_restarts=restarts).remote(i, ckpt_dir, ckpt_every)
+        for i in range(nshards)
+    ]
+
+
 class ShardRevivedError(RuntimeError):
     """A shard restarted with ``ckpt_every != 1``: its restored seen-set
     may miss admitted keys, so the stream can no longer be exact."""
@@ -166,13 +177,8 @@ class StreamingDeduper:
     def __init__(
         self, nshards: int = 8, ckpt_dir: str | None = None, ckpt_every: int = 0
     ):
-        if ckpt_dir:
-            os.makedirs(ckpt_dir, exist_ok=True)
-        restarts = -1 if ckpt_dir else 0  # revive-on-checkpoint only when restorable
-        self.shards = [
-            DedupShard.options(max_restarts=restarts).remote(i, ckpt_dir, ckpt_every)
-            for i in range(nshards)
-        ]
+        self.nshards = nshards
+        self.shards = _make_ring(nshards, ckpt_dir, ckpt_every)
         self.ckpt_every = int(ckpt_every)
         # None: shards never restart, so there is nothing to wait for
         self.tokens = self._probe() if ckpt_dir else None
@@ -200,14 +206,20 @@ class StreamingDeduper:
     def filter_batch(self, batch: pa.Table, key: str) -> pa.Table:
         self.wait_ready()
         keys = batch.column(key).to_numpy()
-        n = len(self.shards)
-        owner = keys % n
+        shard = keys % self.nshards
         masks = ray.get(
-            [self.shards[s].check_and_add.remote(keys[owner == s]) for s in range(n)]
+            [
+                self.shards[s].check_and_add.remote(keys[shard == s])
+                for s in range(self.nshards)
+            ]
         )
+        if self.ckpt_every != 1:
+            # a shard revived between the probe and its admission answered
+            # from a stale seen-set: refuse this batch, not the next one
+            self.wait_ready()
         keep = np.zeros(len(keys), bool)
-        for s in range(n):
-            keep[owner == s] = masks[s]
+        for s in range(self.nshards):
+            keep[shard == s] = masks[s]
         return batch.filter(pa.array(keep))
 
     def checkpoint(self) -> int:

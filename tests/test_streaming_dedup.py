@@ -15,16 +15,18 @@ from spatialjoincountovershells_ray.state.streaming_dedup import (
 )
 
 
-def _kill_and_await_restart(shard, timeout_s: float = 60.0) -> None:
-    """Kill ``shard`` (Ray restarts it) and wait until the new
-    incarnation answers. ``ray.kill`` is asynchronous, so the probe is
-    repeated until its token changes: the kill has then landed."""
-    before = ray.get(shard.incarnation.remote())
-    ray.kill(shard, no_restart=False)
+def _await_kill(shard, timeout_s: float = 60.0) -> None:
+    """Bounded wait until the GCS has seen ``shard`` die (``ray.kill`` is
+    asynchronous). It returns as soon as the restart has begun, so the
+    shard is usually still RESTARTING. The GCS actor table is the only
+    view of the restart that does not go through the actor itself; the
+    public state API needs the dashboard, which the test session does
+    not start, so this reads the private table (Ray 2.49.2)."""
+    actor_id = shard._actor_id.hex()
     deadline = time.monotonic() + timeout_s
-    while ray.get(shard.incarnation.remote()) == before:
-        assert time.monotonic() < deadline, "killed shard never restarted"
-        time.sleep(0.05)
+    while ray._private.state.actors(actor_id)["NumRestarts"] == 0:
+        assert time.monotonic() < deadline, "kill never landed"
+        time.sleep(0.005)
 
 
 def test_distributed_count_matches_distinct_and_no_dup_keys():
@@ -67,7 +69,8 @@ def test_shard_death_restores_from_checkpoint(tmp_path):
         assert len(kept) == len(set(kept)) and not (set(kept) & seen)
         seen |= set(kept)
         if i == 3:  # kill one shard between batches; Ray restarts it
-            _kill_and_await_restart(dd.shards[1])
+            ray.kill(dd.shards[1], no_restart=False)
+            _await_kill(dd.shards[1])
     assert dd.n_seen() == len(seen)
 
 
@@ -78,7 +81,8 @@ def test_revived_shard_with_stale_checkpoint_fails_loudly(tmp_path):
     dd = StreamingDeduper(nshards=2, ckpt_dir=str(tmp_path), ckpt_every=2)
     b = pa.table({"k": pa.array(np.arange(100, dtype=np.int64))})
     assert dd.filter_batch(b, "k").num_rows == 100
-    _kill_and_await_restart(dd.shards[1])
+    ray.kill(dd.shards[1], no_restart=False)
+    _await_kill(dd.shards[1])
     with pytest.raises(ShardRevivedError):
         dd.filter_batch(b, "k")
 
@@ -111,27 +115,6 @@ def test_consolidation_keeps_exactness():
         assert not (set(kept) & seen)
         seen |= set(kept)
     assert dd.n_seen() == len(seen)
-
-
-def test_router_waits_for_restarting_shard(tmp_path):
-    # the next batch is sent as soon as the kill has landed, while the
-    # shard is (usually) still RESTARTING: the router must wait for the
-    # revived shard instead of failing the batch
-    dd = StreamingDeduper(nshards=2, ckpt_dir=str(tmp_path), ckpt_every=1)
-    keys = np.arange(200, dtype=np.int64)
-    assert dd.filter_batch(pa.table({"k": pa.array(keys[:100])}), "k").num_rows == 100
-    shard = dd.shards[1]
-    actor_id = shard._actor_id.hex()
-    ray.kill(shard, no_restart=False)
-    deadline = time.monotonic() + 60
-    # the GCS actor table is the only view of the restart that does not
-    # go through the actor itself
-    while ray._private.state.actors(actor_id)["NumRestarts"] == 0:
-        assert time.monotonic() < deadline, "kill never landed"
-        time.sleep(0.005)
-    out = dd.filter_batch(pa.table({"k": pa.array(keys)}), "k")
-    assert out.column("k").to_pylist() == list(range(100, 200))
-    assert dd.n_seen() == 200
 
 
 def test_distributed_dedup_with_restartable_ring(tmp_path):
